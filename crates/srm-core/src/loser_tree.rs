@@ -1,31 +1,55 @@
-//! Tournament selection tree for `R`-way internal merging.
+//! Tree of losers for `R`-way internal merging.
 //!
 //! The paper delegates internal merge processing to the classic selection
 //! tree of Knuth §5.4.1: `R` leaves, each holding the current key of one
-//! run; the root identifies the smallest in `O(1)`, and replacing any
-//! leaf's key costs one leaf-to-root replay, `O(log R)` comparisons.
+//! run; the root identifies the smallest in `O(1)`, and replacing the
+//! winner's key costs one leaf-to-root replay, `O(log R)` comparisons.
 //!
-//! This implementation stores the *winner* of every internal match (rather
-//! than the loser), which keeps arbitrary-leaf updates correct — the merge
-//! engines update non-winning leaves while blocks stream in during the
-//! initial load, and replace sentinel keys in place when awaited blocks
-//! arrive.
+//! Layout: leaf `i` sits at heap position `R + i`, so internal node `n`
+//! (for `1 ≤ n < R`) has children `2n` and `2n + 1` and leaf `i`'s path
+//! runs through `(R + i) / 2, (R + i) / 4, …, 1`.  Each internal node
+//! stores the *loser* of its match as an inline `(key, leaf)` pair, and
+//! slot 0 caches the overall winner.  Replaying after the winner's key
+//! changes therefore touches only the winner's path and never its
+//! siblings' subtrees: at each level the travelling candidate meets the
+//! stored loser, the smaller `(key, leaf)` travels on and the larger stays
+//! — one branch-free select per level.
 //!
-//! Leaves compare by `(key, leaf index)`, so equal keys resolve
-//! deterministically and the merge is stable across runs.
+//! Leaves compare by `(key, leaf index)`: equal keys go to the lower
+//! leaf, so equal keys resolve deterministically and the merge is stable.
+//! Exhausted runs are parked at [`u64::MAX`]; the tie rule keeps the tree
+//! well-defined when several runs are exhausted.
 
-/// A tournament tree over `k` leaves with `u64` keys.
-///
-/// Exhausted runs are parked at [`u64::MAX`]; since ties break on leaf
-/// index the tree stays well-defined even when several runs are exhausted.
+use std::hint::select_unpredictable;
+
+/// One match result: a leaf and the key it entered with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    key: u64,
+    leaf: usize,
+}
+
+impl Entry {
+    /// Placeholder for slots the build overwrites.
+    const PARKED: Entry = Entry {
+        key: u64::MAX,
+        leaf: 0,
+    };
+
+    /// `true` when `self` beats `other`: smaller key, lower leaf on ties.
+    #[inline(always)]
+    fn beats(self, other: Entry) -> bool {
+        (self.key < other.key) | ((self.key == other.key) & (self.leaf < other.leaf))
+    }
+}
+
+/// A tree of losers over `k` leaves with `u64` keys.
 #[derive(Debug, Clone)]
 pub struct LoserTree {
     k: usize,
-    /// Heap-shaped bracket: leaves at `k .. 2k-1` hold their own index;
-    /// internal nodes `1 .. k-1` hold the winning leaf of their subtree.
-    /// For `k == 1` only `winner[1]` is meaningful.
-    winner: Vec<usize>,
-    keys: Vec<u64>,
+    /// `nodes[0]` is the overall winner; `nodes[n]` for `1 ≤ n < k` is the
+    /// loser of the match at internal node `n`.
+    nodes: Vec<Entry>,
 }
 
 impl LoserTree {
@@ -36,67 +60,98 @@ impl LoserTree {
     pub fn new(keys: Vec<u64>) -> Self {
         let k = keys.len();
         assert!(k > 0, "tournament tree needs at least one leaf");
-        let mut winner = vec![usize::MAX; 2 * k];
-        for (i, slot) in winner.iter_mut().skip(k).enumerate() {
-            *slot = i;
-        }
-        if k == 1 {
-            winner[1] = 0;
-            return LoserTree { k, winner, keys };
-        }
+        let mut tree = LoserTree {
+            k,
+            nodes: vec![Entry::PARKED; k],
+        };
+        tree.build(&keys);
+        tree
+    }
+
+    /// Play every match bottom-up: `O(k)`.
+    fn build(&mut self, keys: &[u64]) {
+        let k = self.k;
+        // Winners of the internal matches, needed only while building.
+        let mut winners = vec![Entry::PARKED; k];
+        let at = |winners: &[Entry], pos: usize| {
+            if pos >= k {
+                Entry {
+                    key: keys[pos - k],
+                    leaf: pos - k,
+                }
+            } else {
+                winners[pos]
+            }
+        };
         for n in (1..k).rev() {
-            let a = winner[2 * n];
-            let b = winner[2 * n + 1];
-            winner[n] = if Self::beats(&keys, a, b) { a } else { b };
+            let (a, b) = (at(&winners, 2 * n), at(&winners, 2 * n + 1));
+            let (win, lose) = if b.beats(a) { (b, a) } else { (a, b) };
+            winners[n] = win;
+            self.nodes[n] = lose;
         }
-        LoserTree { k, winner, keys }
-    }
-
-    /// `true` when leaf `a` wins against leaf `b` (smaller `(key, index)`).
-    #[inline]
-    fn beats(keys: &[u64], a: usize, b: usize) -> bool {
-        (keys[a], a) < (keys[b], b)
-    }
-
-    /// Number of leaves.
-    pub fn leaves(&self) -> usize {
-        self.k
+        // Position 1 is the root match, or the only leaf when k == 1.
+        self.nodes[0] = at(&winners, 1);
     }
 
     /// Current overall winner: `(leaf, key)`.
     #[inline]
     pub fn peek(&self) -> (usize, u64) {
-        let w = self.winner[1];
-        (w, self.keys[w])
+        let w = self.nodes[0];
+        (w.leaf, w.key)
     }
 
-    /// The key currently registered at `leaf`.
-    #[inline]
+    /// The key currently registered at `leaf`.  `O(k)`: meant for
+    /// assertions, not for the merge loop.
     pub fn key_of(&self, leaf: usize) -> u64 {
-        self.keys[leaf]
+        self.nodes
+            .iter()
+            .find(|e| e.leaf == leaf)
+            .map_or(u64::MAX, |e| e.key)
     }
 
-    /// Replace `leaf`'s key and replay its path to the root.  Correct for
-    /// any leaf, whether or not it is the current winner, and for both
-    /// increasing and decreasing key changes.
-    pub fn update(&mut self, leaf: usize, new_key: u64) {
+    /// Replace the current winner's key and replay its path to the root.
+    /// The key may move in either direction.
+    #[inline]
+    pub fn replace_top(&mut self, key: u64) {
+        let leaf = self.nodes[0].leaf;
+        let mut win = Entry { key, leaf };
+        let mut n = (self.k + leaf) / 2;
+        while n > 0 {
+            let lose = self.nodes[n];
+            // The outcome of each match is data-dependent and ~50/50, so
+            // ask for conditional moves rather than a mispredicted branch.
+            let swap = lose.beats(win);
+            self.nodes[n] = select_unpredictable(swap, win, lose);
+            win = select_unpredictable(swap, lose, win);
+            n /= 2;
+        }
+        self.nodes[0] = win;
+    }
+
+    /// Replace `leaf`'s key.  Correct for any leaf and either direction:
+    /// the winner replays its path in `O(log k)`; any other leaf rebuilds
+    /// the tree in `O(k)`, since a loser's change can reorder matches off
+    /// its own path.
+    pub fn update(&mut self, leaf: usize, key: u64) {
         debug_assert!(leaf < self.k);
-        self.keys[leaf] = new_key;
-        if self.k == 1 {
+        if leaf == self.nodes[0].leaf {
+            self.replace_top(key);
             return;
         }
-        let mut node = (self.k + leaf) / 2;
-        while node >= 1 {
-            let a = self.winner[2 * node];
-            let b = self.winner[2 * node + 1];
-            self.winner[node] = if Self::beats(&self.keys, a, b) { a } else { b };
-            node /= 2;
+        // Every leaf appears exactly once: the winner in slot 0 and each
+        // other leaf as the loser of exactly one internal match.
+        let mut keys = vec![0; self.k];
+        for e in &self.nodes {
+            keys[e.leaf] = e.key;
         }
+        keys[leaf] = key;
+        self.build(&keys);
     }
 
     /// True when every leaf is parked at `u64::MAX` (all runs exhausted).
+    #[inline]
     pub fn all_exhausted(&self) -> bool {
-        self.keys[self.winner[1]] == u64::MAX
+        self.nodes[0].key == u64::MAX
     }
 }
 
@@ -110,7 +165,7 @@ mod tests {
     fn single_leaf() {
         let mut t = LoserTree::new(vec![42]);
         assert_eq!(t.peek(), (0, 42));
-        t.update(0, 7);
+        t.replace_top(7);
         assert_eq!(t.peek(), (0, 7));
         t.update(0, u64::MAX);
         assert!(t.all_exhausted());
@@ -157,7 +212,7 @@ mod tests {
                 out.push(key);
                 cursors[leaf] += 1;
                 let next = runs[leaf].get(cursors[leaf]).copied().unwrap_or(u64::MAX);
-                tree.update(leaf, next);
+                tree.replace_top(next);
             }
             assert_eq!(out, expected, "k = {k}");
             for (i, r) in runs.iter().enumerate() {
@@ -166,9 +221,7 @@ mod tests {
         }
     }
 
-    /// Non-winner leaves must be updatable in both directions — the merge
-    /// engine lowers sentinel keys during the initial load and raises them
-    /// when blocks are consumed.
+    /// Non-winner leaves must be updatable in both directions.
     #[test]
     fn arbitrary_leaf_updates() {
         let mut t = LoserTree::new(vec![u64::MAX; 5]);
@@ -191,33 +244,72 @@ mod tests {
     fn repeated_equal_keys() {
         let mut t = LoserTree::new(vec![1, 1, 1]);
         assert_eq!(t.peek().0, 0);
-        t.update(0, 1);
+        t.replace_top(1);
         assert_eq!(t.peek().0, 0);
-        t.update(0, 2);
+        t.replace_top(2);
         assert_eq!(t.peek().0, 1);
-        t.update(1, 2);
+        t.replace_top(2);
         assert_eq!(t.peek().0, 2);
-        t.update(2, 2);
+        t.replace_top(2);
         assert_eq!(t.peek(), (0, 2));
     }
 
-    #[test]
-    fn stress_against_binary_heap() {
+    mod properties {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let mut rng = SmallRng::seed_from_u64(9);
-        for k in [2usize, 3, 16, 17] {
-            let mut keys: Vec<u64> = (0..k).map(|_| rng.random_range(0..1000)).collect();
-            let mut tree = LoserTree::new(keys.clone());
-            for _ in 0..2000 {
-                let heap: BinaryHeap<Reverse<(u64, usize)>> =
-                    keys.iter().enumerate().map(|(i, &v)| Reverse((v, i))).collect();
-                let Reverse((k_min, leaf_min)) = heap.peek().copied().unwrap();
-                assert_eq!(tree.peek(), (leaf_min, k_min), "k = {k}");
-                let leaf = rng.random_range(0..k);
-                let new = rng.random_range(0..1000);
-                keys[leaf] = new;
-                tree.update(leaf, new);
+
+        /// Key pool for the property: a handful of small values (so
+        /// duplicates are common) plus the exhaustion sentinel.
+        fn pool_key(pick: u8) -> u64 {
+            match pick % 6 {
+                5 => u64::MAX,
+                v => u64::from(v),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// After every `replace_top` and every non-winner `update`,
+            /// the tree's winner equals a `BinaryHeap` reference over the
+            /// same `(key, leaf)` pairs — ties to the lower leaf included —
+            /// and every leaf still reads back its own key.
+            #[test]
+            fn winner_matches_binary_heap(
+                k_pick in 0usize..7,
+                init in vec(any::<u8>(), 31..32),
+                ops in vec((any::<bool>(), any::<u8>(), any::<u8>()), 0..200),
+            ) {
+                let k = [1usize, 2, 3, 5, 16, 17, 31][k_pick];
+                let mut keys: Vec<u64> = init[..k].iter().map(|&p| pool_key(p)).collect();
+                let mut tree = LoserTree::new(keys.clone());
+                let reference = |keys: &[u64]| {
+                    let heap: BinaryHeap<Reverse<(u64, usize)>> =
+                        keys.iter().enumerate().map(|(i, &v)| Reverse((v, i))).collect();
+                    let Reverse((key, leaf)) = heap.peek().copied().unwrap();
+                    (leaf, key)
+                };
+                prop_assert_eq!(tree.peek(), reference(&keys));
+                for (top, leaf_pick, key_pick) in ops {
+                    let key = pool_key(key_pick);
+                    let winner = tree.peek().0;
+                    if top || k == 1 {
+                        keys[winner] = key;
+                        tree.replace_top(key);
+                    } else {
+                        // A leaf other than the winner.
+                        let leaf = (winner + 1 + leaf_pick as usize % (k - 1)) % k;
+                        keys[leaf] = key;
+                        tree.update(leaf, key);
+                    }
+                    prop_assert_eq!(tree.peek(), reference(&keys));
+                    for (leaf, &key) in keys.iter().enumerate() {
+                        prop_assert_eq!(tree.key_of(leaf), key);
+                    }
+                }
             }
         }
     }

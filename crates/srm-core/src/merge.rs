@@ -31,7 +31,7 @@ use pdisk::{
     Block, BlockAddr, BufferPool, DiskArray, DiskId, Forecast, Geometry, ReadTicket, Record,
     StripedRun,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Statistics for one merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,6 +64,18 @@ struct RunState<'a, R: Record> {
     cur_idx: u64,
     awaiting: bool,
     exhausted: bool,
+    /// The run's blocks in `M_R ∪ M_D`: `(block idx, min key, records)`.
+    /// A handful at most, so a list beats a map.
+    buffered: Vec<(u64, u64, Vec<R>)>,
+}
+
+impl<R: Record> RunState<'_, R> {
+    /// Remove block `idx` from `M_R ∪ M_D`: `(min key, records)`.
+    fn take_buffered(&mut self, idx: u64) -> Option<(u64, Vec<R>)> {
+        let pos = self.buffered.iter().position(|b| b.0 == idx)?;
+        let (_, min_key, recs) = self.buffered.swap_remove(pos);
+        Some((min_key, recs))
+    }
 }
 
 /// The one parallel read in flight between `submit_read` and
@@ -269,11 +281,12 @@ fn merge_impl<R: Record, A: DiskArray<R>>(
                 cur_idx: 0,
                 awaiting: false,
                 exhausted: false,
+                buffered: Vec::new(),
             })
             .collect(),
         sched: Scheduler::new(runs.len(), geom.d),
-        tree: LoserTree::new(vec![u64::MAX; runs.len()]),
-        buffers: HashMap::new(),
+        // Built over the leading blocks' first keys by `initial_load`.
+        tree: LoserTree::new(vec![u64::MAX]),
         writer: if pipelined {
             RunWriter::new_pipelined(geom, out_start_disk)
         } else {
@@ -281,6 +294,8 @@ fn merge_impl<R: Record, A: DiskArray<R>>(
         },
         in_flight: None,
         read_ahead,
+        hint_cols: Vec::new(),
+        hint_addrs: Vec::new(),
         pool: array.buffer_pool().cloned(),
         trace,
     };
@@ -297,8 +312,6 @@ struct Merger<'a, R: Record> {
     runs: Vec<RunState<'a, R>>,
     sched: Scheduler,
     tree: LoserTree,
-    /// Contents of blocks in `M_R ∪ M_D`, keyed by `(run, block idx)`.
-    buffers: HashMap<(RunId, u64), (u64, Vec<R>)>,
     writer: RunWriter<R>,
     /// The one read in flight (pipelined engine only; always `None` in
     /// the serial engine).
@@ -306,6 +319,10 @@ struct Merger<'a, R: Record> {
     /// Forecast-driven prefetch depth `K`: predicted blocks per disk to
     /// hint at every submit (0 = no hints; serial engine ignores it).
     read_ahead: usize,
+    /// Scratch reused by every [`Self::hint_read_ahead`]: the FDS ranks
+    /// per disk (disk-major) and the rank-major hint list built from them.
+    hint_cols: Vec<Option<BlockAddr>>,
+    hint_addrs: Vec<BlockAddr>,
     /// Recycling pool shared with the backend, if the stack has one.
     pool: Option<BufferPool<R>>,
     /// Annotation sink, cloned from the array's installed trace (if any).
@@ -370,10 +387,14 @@ impl<R: Record> Merger<'_, R> {
                 st.leading = block.records;
                 st.cursor = 0;
                 st.cur_idx = 0;
-                let first = st.leading.first().map(|r| r.key()).unwrap_or(u64::MAX);
-                self.tree.update(j as usize, first);
             }
         }
+        self.tree = LoserTree::new(
+            self.runs
+                .iter()
+                .map(|st| st.leading.first().map_or(u64::MAX, |r| r.key()))
+                .collect(),
+        );
         Ok(())
     }
 
@@ -394,7 +415,7 @@ impl<R: Record> Merger<'_, R> {
     /// recycling the record vectors when the stack has a pool.
     fn drop_flushed(&mut self, flushed: &[BlockKey]) {
         for key in flushed {
-            let dropped = self.buffers.remove(&(key.run, key.idx));
+            let dropped = self.runs[key.run as usize].take_buffered(key.idx);
             debug_assert!(dropped.is_some(), "flushed block {key:?} had no buffer");
             if let (Some(pool), Some((_, recs))) = (&self.pool, dropped) {
                 pool.put_records(recs);
@@ -404,7 +425,8 @@ impl<R: Record> Merger<'_, R> {
 
     /// One block's arrival: implant its forecast key, hand it to the
     /// awaiting run's leading buffer or park it in `M_D`, and record the
-    /// trace row.  Shared verbatim by the serial and pipelined engines.
+    /// trace row (`traced` is left empty when no trace sink is
+    /// installed).  Shared verbatim by the serial and pipelined engines.
     fn arrive_block(
         &mut self,
         disk: DiskId,
@@ -433,25 +455,38 @@ impl<R: Record> Merger<'_, R> {
         };
         let st = &mut self.runs[key.run as usize];
         let to_leading = st.awaiting && st.cur_idx == key.idx;
-        traced.push(TraceBlock {
-            run: key.run,
-            idx: key.idx,
-            key: key.key,
-            disk,
-            implant: implant.as_ref().map(|b| b.key),
-            to_leading,
-        });
+        if self.trace.is_some() {
+            traced.push(TraceBlock {
+                run: key.run,
+                idx: key.idx,
+                key: key.key,
+                disk,
+                implant: implant.as_ref().map(|b| b.key),
+                to_leading,
+            });
+        }
         self.sched.arrive(key, disk, implant, to_leading);
         if to_leading {
+            // The run entered the tree at this block's forecast key, which
+            // is the block's first key: no replay needed.
+            debug_assert_eq!(self.tree.key_of(key.run as usize), key.key);
             st.leading = block.records;
             st.cursor = 0;
             st.awaiting = false;
-            let first = st.leading[0].key();
-            self.tree.update(key.run as usize, first);
         } else {
-            self.buffers.insert((key.run, key.idx), (key.key, block.records));
+            st.buffered.push((key.idx, key.key, block.records));
         }
         Ok(())
+    }
+
+    /// Buffer for one read's [`TraceBlock`] rows; allocates only when a
+    /// trace sink is installed.
+    fn trace_rows(&self, targets: usize) -> Vec<TraceBlock> {
+        if self.trace.is_some() {
+            Vec::with_capacity(targets)
+        } else {
+            Vec::new()
+        }
     }
 
     fn execute_read<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
@@ -463,7 +498,7 @@ impl<R: Record> Merger<'_, R> {
         self.drop_flushed(&plan.flushed);
         let addrs: Vec<BlockAddr> = plan.targets.iter().map(|(_, k)| self.addr_of(k)).collect();
         let blocks = array.read(&addrs)?;
-        let mut traced: Vec<TraceBlock> = Vec::with_capacity(plan.targets.len());
+        let mut traced = self.trace_rows(plan.targets.len());
         for ((disk, key), block) in plan.targets.into_iter().zip(blocks) {
             self.arrive_block(disk, key, block, &mut traced)?;
         }
@@ -551,33 +586,22 @@ impl<R: Record> Merger<'_, R> {
         let d = self.geom.d;
         let k_cap = (self.runs.len() + d) / d;
         let depth = self.read_ahead.min(k_cap.max(1));
-        let budget = depth * d;
-        if budget == 0 {
-            return;
+        let mut cols = std::mem::take(&mut self.hint_cols);
+        let mut addrs = std::mem::take(&mut self.hint_addrs);
+        cols.clear();
+        for i in 0..d {
+            let mut column = self.sched.fds().upcoming(DiskId::from_index(i), depth);
+            cols.extend((0..depth).map(|_| column.next().map(|k| self.addr_of(&k))));
         }
-        let per_disk: Vec<Vec<BlockAddr>> = (0..d)
-            .map(|i| {
-                self.sched
-                    .fds()
-                    .upcoming(DiskId::from_index(i), depth)
-                    .map(|k| self.addr_of(&k))
-                    .collect()
-            })
-            .collect();
-        let mut addrs: Vec<BlockAddr> = Vec::with_capacity(budget);
-        'fill: for rank in 0..depth {
-            for column in &per_disk {
-                if let Some(&a) = column.get(rank) {
-                    addrs.push(a);
-                    if addrs.len() == budget {
-                        break 'fill;
-                    }
-                }
-            }
+        addrs.clear();
+        for rank in 0..depth {
+            addrs.extend((0..d).filter_map(|i| cols[i * depth + rank]));
         }
         if !addrs.is_empty() {
             array.prefetch(&addrs);
         }
+        self.hint_cols = cols;
+        self.hint_addrs = addrs;
     }
 
     /// Pipelined step 2: wait for the in-flight read and apply its
@@ -589,7 +613,7 @@ impl<R: Record> Merger<'_, R> {
             .take()
             .ok_or_else(|| SrmError::Internal("completing a read with none in flight".into()))?;
         let blocks = array.complete_read(fl.ticket)?;
-        let mut traced: Vec<TraceBlock> = Vec::with_capacity(fl.targets.len());
+        let mut traced = self.trace_rows(fl.targets.len());
         for ((disk, key), block) in fl.targets.into_iter().zip(blocks) {
             self.arrive_block(disk, key, block, &mut traced)?;
         }
@@ -621,12 +645,14 @@ impl<R: Record> Merger<'_, R> {
             pool.put_records(depleted);
         }
         st.cursor = 0;
+        debug_assert_eq!(self.tree.peek().0, run, "only the winner's block depletes");
         if st.cur_idx >= st.handle.len_blocks {
             st.exhausted = true;
-            self.tree.update(run, u64::MAX);
+            self.tree.replace_top(u64::MAX);
             return Ok(());
         }
-        if let Some((min_key, recs)) = self.buffers.remove(&(run as RunId, st.cur_idx)) {
+        let cur_idx = st.cur_idx;
+        if let Some((min_key, recs)) = st.take_buffered(cur_idx) {
             let promoted = self
                 .sched
                 .promote_to_leading(BlockKey::new(min_key, run as RunId, st.cur_idx));
@@ -643,8 +669,7 @@ impl<R: Record> Merger<'_, R> {
                 });
             }
             st.leading = recs;
-            let first = st.leading[0].key();
-            self.tree.update(run, first);
+            self.tree.replace_top(st.leading[0].key());
         } else {
             // On disk: merge past this point is gated by the block's min
             // key, which is exactly the forecasting entry for its disk.
@@ -666,7 +691,7 @@ impl<R: Record> Merger<'_, R> {
                 )));
             }
             st.awaiting = true;
-            self.tree.update(run, entry.key);
+            self.tree.replace_top(entry.key);
             // Pipelined: if the awaited block is already in flight, it
             // will now arrive straight to leading instead of occupying
             // `M_D`/`M_R`, so it stops counting against the `P_s` gate.
@@ -685,22 +710,34 @@ impl<R: Record> Merger<'_, R> {
         Ok(())
     }
 
-    /// Consume the loser tree's winning record (the caller has
-    /// established that its run is not awaiting I/O), then hand the
-    /// depleted leading buffer on if the block ran dry.
-    fn emit_winner<A: DiskArray<R>>(&mut self, array: &mut A, run: usize, key: u64) -> Result<()> {
-        let st = &mut self.runs[run];
-        let rec = st.leading[st.cursor];
-        st.cursor += 1;
-        debug_assert_eq!(rec.key(), key, "tree winner key mismatch");
-        self.writer.push(array, rec)?;
-        if st.cursor == st.leading.len() {
-            self.advance_run(run)?;
-        } else {
-            let next_key = st.leading[st.cursor].key();
-            self.tree.update(run, next_key);
+    /// Emit the tree's winning records until the next *scheduling event*:
+    /// the winner's leading block runs dry (handed on by
+    /// [`Self::advance_run`]), or the next winner is a run awaiting I/O
+    /// (or every run is exhausted).
+    ///
+    /// Emitting a record from a resident leading block touches neither
+    /// `F`, `M_D`, the forecasting table, the flight's `pending` count
+    /// nor the set of awaiting runs, so between two events the main
+    /// loops' per-record checks (`drain`, `P_s`/`P_need`,
+    /// `can_attempt_read`) would repeat the answer they gave before the
+    /// first record; skipping them leaves every read, flush and write at
+    /// the same record position (DESIGN §9.4).
+    fn emit_until_event<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
+        loop {
+            let (run, key) = self.tree.peek();
+            let st = &mut self.runs[run];
+            if st.awaiting || st.exhausted {
+                return Ok(());
+            }
+            let rec = st.leading[st.cursor];
+            st.cursor += 1;
+            debug_assert_eq!(rec.key(), key, "tree winner key mismatch");
+            self.writer.push(array, rec)?;
+            if st.cursor == st.leading.len() {
+                return self.advance_run(run);
+            }
+            self.tree.replace_top(st.leading[st.cursor].key());
         }
-        Ok(())
     }
 
     fn run_to_completion<A: DiskArray<R>>(mut self, array: &mut A) -> Result<MergeOutcome> {
@@ -721,7 +758,7 @@ impl<R: Record> Merger<'_, R> {
                     self.runs[run].cur_idx
                 )));
             }
-            self.emit_winner(array, run, key)?;
+            self.emit_until_event(array)?;
         }
         self.finish_merge(array)
     }
@@ -820,12 +857,15 @@ impl<R: Record> Merger<'_, R> {
                     self.runs[run].cur_idx
                 )));
             }
-            self.emit_winner(array, run, key)?;
+            self.emit_until_event(array)?;
         }
     }
 
     fn finish_merge<A: DiskArray<R>>(self, array: &mut A) -> Result<MergeOutcome> {
-        debug_assert!(self.buffers.is_empty(), "leftover buffered blocks");
+        debug_assert!(
+            self.runs.iter().all(|st| st.buffered.is_empty()),
+            "leftover buffered blocks"
+        );
         debug_assert!(self.sched.fds().is_empty(), "unread blocks at completion");
         self.sched.assert_capacities();
         let records_out = self.writer.records();

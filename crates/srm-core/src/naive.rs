@@ -164,7 +164,7 @@ pub fn naive_merge_count<R: Record, A: DiskArray<R>>(
         stats.records_out += 1;
         if st.cursor < st.current.len() {
             let next = st.current[st.cursor].key();
-            self_update(&mut tree, j, next);
+            tree.replace_top(next);
             continue;
         }
         // Block exhausted: promote the prefetch, demand the next block.
@@ -174,12 +174,12 @@ pub fn naive_merge_count<R: Record, A: DiskArray<R>>(
                 st.cursor = 0;
                 st.maybe_request(j, 1, &mut pending);
                 let next = st.current[0].key();
-                self_update(&mut tree, j, next);
+                tree.replace_top(next);
             }
             None => {
                 if st.next_fetch >= st.handle.len_blocks && st.in_flight == 0 {
                     // Run exhausted.
-                    self_update(&mut tree, j, u64::MAX);
+                    tree.replace_top(u64::MAX);
                 } else {
                     // The demanded block is still queued: without
                     // forecasting the merger does not know the run's next
@@ -192,11 +192,6 @@ pub fn naive_merge_count<R: Record, A: DiskArray<R>>(
         }
     }
     Ok(stats)
-}
-
-#[inline]
-fn self_update(tree: &mut LoserTree, leaf: usize, key: u64) {
-    tree.update(leaf, key);
 }
 
 #[cfg(test)]

@@ -52,7 +52,6 @@ pub struct RunWriter<R: Record> {
     records: u64,
     last_key: Option<u64>,
     stripes_written: u64,
-    finished: bool,
     /// Write-behind mode: stripes are `submit_write`-ten and completed up
     /// to [`pdisk::WRITE_BEHIND_LIMIT`] stripes later, so disk time hides
     /// behind record production.
@@ -78,7 +77,6 @@ impl<R: Record> RunWriter<R> {
             records: 0,
             last_key: None,
             stripes_written: 0,
-            finished: false,
             pipelined: false,
             tickets: VecDeque::new(),
         }
@@ -106,7 +104,6 @@ impl<R: Record> RunWriter<R> {
 
     /// Append one record (keys must be non-decreasing).
     pub fn push<A: DiskArray<R>>(&mut self, array: &mut A, rec: R) -> Result<(), PdiskError> {
-        assert!(!self.finished, "push after finish");
         if let Some(last) = self.last_key {
             debug_assert!(rec.key() >= last, "run records must be sorted");
         }
@@ -240,7 +237,6 @@ impl<R: Record> RunWriter<R> {
     /// Panics if no records were pushed (empty runs are never written).
     pub fn finish<A: DiskArray<R>>(mut self, array: &mut A) -> Result<StripedRun, PdiskError> {
         assert!(self.records > 0, "refusing to write an empty run");
-        self.finished = true;
         if !self.cur.is_empty() {
             let block = std::mem::take(&mut self.cur);
             self.enqueue_block(block);

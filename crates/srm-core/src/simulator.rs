@@ -239,6 +239,9 @@ struct SimRunState {
     cur_idx: u64,
     awaiting: bool,
     exhausted: bool,
+    /// The awaited block arrived, but the event tree still holds its min
+    /// key; re-keyed to the max key when the run next wins.
+    rekey: bool,
 }
 
 /// One schedule event, emitted by [`MergeSim::run_traced`].
@@ -305,12 +308,9 @@ impl MergeSim {
                 cur_idx: 0,
                 awaiting: false,
                 exhausted: false,
+                rekey: false,
             })
             .collect();
-        // Event tree: per run, the key of its next schedule-relevant event —
-        // depletion of the leading block (max key) or, when awaiting I/O,
-        // the blocked participation key (min key).
-        let mut tree = LoserTree::new(vec![u64::MAX; r]);
 
         // §5.5 step 1: fetch block 0 of every run, one block per disk per
         // operation; seed the forecasting table with the keys of blocks
@@ -339,21 +339,34 @@ impl MergeSim {
                     let key = BlockKey::new(run.min_keys[idx as usize], j, idx);
                     sched.fds_mut().set(run.disk_of(idx, d), j, Some(key));
                 }
-                tree.update(j as usize, run.max_keys[0]);
             }
         }
+        // Event tree: per run, the key of its next schedule-relevant event —
+        // depletion of the leading block (max key) or, when awaiting I/O,
+        // the blocked participation key (min key).  A run whose awaited
+        // block has arrived keeps its min key until it wins (`rekey`):
+        // every other leaf's key is then at most its true event key, so
+        // the first *true* key to win is the same one a tree re-keyed at
+        // arrival would pick, and arrivals cost no `O(R)` rebuild.
+        let mut tree = LoserTree::new(input.runs.iter().map(|run| run.max_keys[0]).collect());
 
         // Main loop — mirror of merge.rs::run_to_completion.
         loop {
             sched.drain();
             if sched.can_attempt_read() {
-                Self::execute_read(input, &mut sched, &mut states, &mut tree, &mut trace)?;
+                Self::execute_read(input, &mut sched, &mut states, &mut trace)?;
                 continue;
             }
             if tree.all_exhausted() {
                 break;
             }
             let (j, key) = tree.peek();
+            if states[j].rekey {
+                // Schedules nothing, so the event order is unchanged.
+                states[j].rekey = false;
+                tree.replace_top(input.runs[j].max_keys[states[j].cur_idx as usize]);
+                continue;
+            }
             if states[j].awaiting {
                 return Err(SrmError::Internal(format!(
                     "simulated merge stuck: run {j} awaits block {} (key {key})",
@@ -382,7 +395,6 @@ impl MergeSim {
         input: &SimInput,
         sched: &mut Scheduler,
         states: &mut [SimRunState],
-        tree: &mut LoserTree,
         trace: &mut Option<&mut Vec<TraceEvent>>,
     ) -> Result<()> {
         let d = input.d;
@@ -407,7 +419,7 @@ impl MergeSim {
             sched.arrive(key, disk, implant, to_leading);
             if to_leading {
                 st.awaiting = false;
-                tree.update(key.run as usize, run.max_keys[key.idx as usize]);
+                st.rekey = true;
             }
         }
         Ok(())
@@ -425,13 +437,13 @@ impl MergeSim {
         st.cur_idx += 1;
         if st.cur_idx >= run.blocks() {
             st.exhausted = true;
-            tree.update(j, u64::MAX);
+            tree.replace_top(u64::MAX);
             return Ok(());
         }
         let idx = st.cur_idx;
         let key = BlockKey::new(run.min_keys[idx as usize], j as RunId, idx);
         if sched.promote_to_leading(key) {
-            tree.update(j, run.max_keys[idx as usize]);
+            tree.replace_top(run.max_keys[idx as usize]);
         } else {
             // Still on disk: the merge is gated by this block's min key.
             let disk = run.disk_of(idx, input.d);
@@ -445,7 +457,7 @@ impl MergeSim {
                 )));
             }
             st.awaiting = true;
-            tree.update(j, entry.key);
+            tree.replace_top(entry.key);
         }
         Ok(())
     }

@@ -317,3 +317,116 @@ fn dsm_equivalent() {
     assert_eq!(serial_out, pipe_out, "dsm parity: output must be byte-identical");
     assert_eq!(serial_io, pipe_io, "dsm parity: IoStats must be identical");
 }
+
+/// Ties are where a rewrite of the merge's selection tree would
+/// silently break stability.  `R = 16` runs of all-equal, few-distinct
+/// and duplicate-heavy keys, each record tagged with `(run, position)`,
+/// must merge into the stable order (equal keys go to the lower run)
+/// with identical [`srm_core::MergeStats`], [`IoStats`] and logical
+/// trace on the serial engine, the pipelined engine and read-ahead 3,
+/// and every trace must replay checker-clean.
+#[test]
+fn tie_heavy_merge_is_stable_and_engine_invariant() {
+    use pdisk::trace::{Tagged, TraceEvent};
+    use pdisk::{DiskId, KeyPayloadRecord, StripedRun};
+    use srm_core::{merge_runs, merge_runs_pipelined, merge_runs_pipelined_deep, RunWriter};
+    type Rec = KeyPayloadRecord<8>;
+
+    /// The trace without what may legitimately move when reads complete
+    /// later: `(ops in issue order, scheduled reads' targets and flushes)`.
+    fn logical(trace: &[Tagged]) -> (Vec<String>, Vec<String>) {
+        let mut ops = Vec::new();
+        let mut sched = Vec::new();
+        for t in trace {
+            match &t.event {
+                TraceEvent::SchedRead { targets, flushed, .. } => {
+                    sched.push(format!("{targets:?} {flushed:?}"))
+                }
+                e @ (TraceEvent::Read { .. }
+                | TraceEvent::Write { .. }
+                | TraceEvent::Alloc { .. }
+                | TraceEvent::InitLoad { .. }
+                | TraceEvent::InitImplant { .. }
+                | TraceEvent::Deplete { .. }
+                | TraceEvent::Promote { .. }
+                | TraceEvent::MergeBegin { .. }
+                | TraceEvent::MergeEnd
+                | TraceEvent::RunStart { .. }
+                | TraceEvent::RunEnd { .. }) => ops.push(format!("{e:?}")),
+                _ => {}
+            }
+        }
+        (ops, sched)
+    }
+
+    let geom = Geometry::new(4, 4, 1 << 20).unwrap();
+    type KeyGen = fn(&mut SmallRng) -> u64;
+    let shapes: [(&str, KeyGen); 3] = [
+        ("all-equal", |_| 7),
+        ("few-distinct", |rng| rng.random_range(0..3)),
+        ("duplicate-heavy", |rng| {
+            if rng.random_range(0..10) < 8 {
+                500
+            } else {
+                rng.random_range(0..1000)
+            }
+        }),
+    ];
+    for (shape, key_of) in shapes {
+        let mut rng = SmallRng::seed_from_u64(0x71E5);
+        let runs: Vec<Vec<Rec>> = (0..16u32)
+            .map(|j| {
+                let len = rng.random_range(20..120);
+                let mut keys: Vec<u64> = (0..len).map(|_| key_of(&mut rng)).collect();
+                keys.sort_unstable();
+                keys.iter()
+                    .enumerate()
+                    .map(|(pos, &key)| {
+                        let tag = (u64::from(j) << 32) | pos as u64;
+                        Rec { key, payload: tag.to_le_bytes() }
+                    })
+                    .collect()
+            })
+            .collect();
+        let starts: Vec<u32> = (0..16).map(|_| rng.random_range(0..4)).collect();
+        let mut expected: Vec<Rec> = runs.iter().flatten().copied().collect();
+        // Stable: by key, then run, then position — the tag's order.
+        expected.sort_by_key(|r| (r.key, u64::from_le_bytes(r.payload)));
+
+        let drive = |engine: &str| {
+            let mut a = TracingDiskArray::new(MemDiskArray::<Rec>::new(geom));
+            let handles: Vec<StripedRun> = runs
+                .iter()
+                .zip(&starts)
+                .map(|(recs, &s)| {
+                    let mut w = RunWriter::new(geom, DiskId(s));
+                    for &r in recs {
+                        w.push(&mut a, r).unwrap();
+                    }
+                    w.finish(&mut a).unwrap()
+                })
+                .collect();
+            let out = match engine {
+                "serial" => merge_runs(&mut a, &handles, DiskId(0)),
+                "pipelined" => merge_runs_pipelined(&mut a, &handles, DiskId(0)),
+                _ => merge_runs_pipelined_deep(&mut a, &handles, DiskId(0), 3),
+            }
+            .unwrap_or_else(|e| panic!("{shape}/{engine}: merge failed: {e}"));
+            let io = a.stats();
+            let trace = a.take_trace();
+            check_trace(geom, &trace).unwrap_or_else(|v| panic!("{shape}/{engine}: {v}"));
+            check_stats(&trace, &io).unwrap_or_else(|v| panic!("{shape}/{engine}: {v}"));
+            let merged = read_run(&mut a, &out.run).unwrap();
+            (merged, out.stats, io, logical(&trace))
+        };
+        let serial = drive("serial");
+        assert_eq!(serial.0, expected, "{shape}: merge must be stable");
+        for engine in ["pipelined", "read-ahead 3"] {
+            let other = drive(engine);
+            assert_eq!(other.0, serial.0, "{shape}/{engine}: records");
+            assert_eq!(other.1, serial.1, "{shape}/{engine}: MergeStats");
+            assert_eq!(other.2, serial.2, "{shape}/{engine}: IoStats");
+            assert_eq!(other.3, serial.3, "{shape}/{engine}: logical trace");
+        }
+    }
+}
